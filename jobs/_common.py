@@ -12,6 +12,8 @@ import sys
 
 import pandas as pd
 
+from repro.session import driver_mem
+
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results")
 
 
@@ -20,7 +22,7 @@ def get_spark(app: str):
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '32g')} "
+        f"--driver-memory {driver_mem()} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false "
         "--conf spark.ui.showConsoleProgress=false "

@@ -3,16 +3,25 @@
 The treelet count table ``c(T_C, v)`` is computed level by level with
 Eq. 1: a size-``h`` colored rooted treelet splits uniquely into its
 first root-child subtree ``T''`` (size ``j``) and the rest ``T'``
-(size ``h-j``), so
+(size ``h-j``). Shapes are size-unique, so each level is **one**
+aggregation over the keyed union ``lower_h`` of levels ``1..h-1``:
 
-    level_h = Σ_j  level_{h-j} ⋈ edges ⋈ level_j ⋈ merge-table(h-j, j)
+    level_h = lower_h ⋈ merge-table(h) ⋈ edges ⋈ lower_h
 
-with color-set disjointness as a bitwise filter and a final division by
-β_T (each treelet copy is produced once per root-child subtree
-isomorphic to T''). The merge table (≤ 115 rows for k ≤ 8) is broadcast
-— this is the succinct-treelet payoff: CC's per-pair recursive
+joining ``l.t = tl``, ``l.v = src`` and ``(dst, tr) = (r.v, r.t)``, with
+color-set disjointness as a bitwise filter, a groupBy on
+``(v, tm, l.c | r.c)`` and a final division by β_T (each treelet copy is
+produced once per root-child subtree isomorphic to T''). The merge table
+(all of level h's ``(tl, tr, tm, β)`` rows, ≤ 115 rows for k ≤ 8) is
+broadcast — this is the succinct-treelet payoff: CC's per-pair recursive
 check-and-merge becomes a native hash-join lookup plus integer bit-ops,
 entirely inside Catalyst/Tungsten, with no per-row Python.
+
+Motivo keeps the graph in memory and lets every build thread read any
+vertex's lower-level records (§3.3). Here the edge list and ``lower_h``
+are broadcast, so a level runs as one pipeline with a single shuffle (the
+groupBy), as long as each fits under :data:`BROADCAST_ROWS` (row totals
+come from :class:`BuildStats`); above it the same plan shuffles instead.
 
 Motivo specifics reproduced here:
 
@@ -25,12 +34,15 @@ Motivo specifics reproduced here:
   ``flush_dir`` set, each completed level is written to parquet and
   re-read lazily, so the full table never resides in executor memory;
   without it levels are persisted in memory (the CC regime).
+- **Sorted tables** (§3.3): each level is sorted within partitions by
+  ``(t, c, v)`` before it is flushed or persisted.
 """
 from __future__ import annotations
 
 import os
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import pandas as pd
@@ -42,6 +54,12 @@ from . import coloring, treelet as tl
 
 #: Decimal(38,0) — the reproduction's "128-bit counter".
 COUNT_TYPE = DecimalType(38, 0)
+
+#: Most rows a join side may hold and still be broadcast, i.e. shipped whole
+#: to every task the way Motivo keeps the graph and the lower levels in
+#: memory. Above it the same plan runs with shuffled joins, so a large
+#: graph does not exhaust driver memory.
+BROADCAST_ROWS = 1_000_000
 
 
 @dataclass
@@ -127,10 +145,9 @@ def build_tables(
     """Run the build-up phase and return the treelet count tables."""
     colors = coloring.assign_colors(graph.n, k, seed=seed, lam=lam)
     stats = BuildStats()
-    # The input graph lives in memory in both CC and Motivo (§3.3), so the
-    # edge view is always persisted regardless of the flushing mode.
-    edges = graph.edges_df(spark).persist()
-    edges.count()
+    # The input graph lives in memory (§3.3): the edge view is broadcast to
+    # every join that reads it while it fits under BROADCAST_ROWS.
+    edges = in_memory(graph.edges_df(spark), 2 * graph.m).alias("e")
 
     # Level 1: the trivial treelet at every vertex, colored {c_v}.
     lvl1_pdf = pd.DataFrame(
@@ -139,10 +156,10 @@ def build_tables(
     levels: dict[int, DataFrame] = {}
     t0 = time.monotonic()
     lvl1 = spark.createDataFrame(lvl1_pdf).withColumn("cnt", F.lit(1).cast(COUNT_TYPE))
-    levels[1] = _materialize(spark, lvl1, 1, flush_dir, stats)
+    # One row per vertex, so its row count needs no Spark job.
+    levels[1] = _materialize(spark, lvl1, 1, flush_dir, stats, rows=graph.n)
     stats.seconds_per_level[1] = time.monotonic() - t0
 
-    merge_rows = [r for r in tl.merge_table(k)]
     color0 = None
     if zero_rooting:
         color0 = spark.createDataFrame(
@@ -151,53 +168,40 @@ def build_tables(
 
     for h in range(2, k + 1):
         t0 = time.monotonic()
-        parts = []
-        # Group valid merges by (|T'|, |T''|) so each join batch unions
-        # exactly the shape pairs it can produce.
-        by_sizes: dict[tuple[int, int], list] = {}
-        for size_l, size_r, tl_, tr_, tm_, b in merge_rows:
-            if size_l + size_r == h:
-                by_sizes.setdefault((size_l, size_r), []).append((tl_, tr_, tm_, b))
-        for (size_l, size_r), rows in sorted(by_sizes.items()):
-            pairs = F.broadcast(
-                spark.createDataFrame(
-                    pd.DataFrame(rows, columns=["tl", "tr", "tm", "beta"]).astype(
-                        {"tl": "int32", "tr": "int32", "tm": "int32", "beta": "int32"}
-                    )
-                )
+        merge = F.broadcast(
+            spark.createDataFrame(
+                pd.DataFrame(
+                    [row[2:] for row in tl.merge_table(k) if row[0] + row[1] == h],
+                    columns=["tl", "tr", "tm", "beta"],
+                ).astype("int32")
             )
-            left = levels[size_l].alias("l")
-            if h == k and zero_rooting:
-                # 0-rooting: only count k-treelets rooted at color-0 nodes.
-                left = left.join(F.broadcast(color0), on="v", how="semi").alias("l")
-            right = levels[size_r].alias("r")
-            e = edges.alias("e")
-            joined = (
-                left.join(pairs, F.col("l.t") == F.col("tl"))
-                .join(e, F.col("l.v") == F.col("e.src"))
-                .join(
-                    right,
-                    (F.col("e.dst") == F.col("r.v")) & (F.col("r.t") == F.col("tr")),
-                )
-                .where(F.col("l.c").bitwiseAND(F.col("r.c")) == 0)
-                .groupBy(
-                    F.col("l.v").alias("v"),
-                    F.col("tm").alias("t"),
-                    F.col("l.c").bitwiseOR(F.col("r.c")).alias("c"),
-                )
-                .agg(
-                    F.sum(F.col("l.cnt") * F.col("r.cnt")).alias("pairsum"),
-                    F.max("beta").alias("beta"),
-                )
+        )
+        lower = union_levels(levels, h)
+        left = lower.alias("l")
+        if h == k and zero_rooting:
+            # 0-rooting: only count k-treelets rooted at color-0 nodes.
+            left = left.join(F.broadcast(color0), on="v", how="semi").alias("l")
+        lower_rows = sum(stats.rows_per_level[j] for j in range(1, h))
+        right = in_memory(lower, lower_rows).alias("r")
+        lvl = (
+            left.join(merge, F.col("l.t") == F.col("tl"))
+            .join(edges, F.col("l.v") == F.col("e.src"))
+            .join(right, (F.col("e.dst") == F.col("r.v")) & (F.col("r.t") == F.col("tr")))
+            .where(F.col("l.c").bitwiseAND(F.col("r.c")) == 0)
+            .groupBy(
+                F.col("l.v").alias("v"),
+                F.col("tm").alias("t"),
+                F.col("l.c").bitwiseOR(F.col("r.c")).alias("c"),
             )
-            parts.append(joined)
-        lvl = parts[0]
-        for p in parts[1:]:
-            lvl = lvl.unionByName(p)
-        # Each copy of T was produced once per root-child subtree
-        # isomorphic to T'' — divide by β_T (exact: pairsum ≡ 0 mod β).
-        lvl = lvl.select(
-            "v", "t", "c", (F.col("pairsum") / F.col("beta")).cast(COUNT_TYPE).alias("cnt")
+            .agg(
+                F.sum(F.col("l.cnt") * F.col("r.cnt")).alias("pairsum"),
+                F.max("beta").alias("beta"),
+            )
+            # Each copy of T was produced once per root-child subtree
+            # isomorphic to T'' — divide by β_T (exact: pairsum ≡ 0 mod β).
+            .select(
+                "v", "t", "c", (F.col("pairsum") / F.col("beta")).cast(COUNT_TYPE).alias("cnt")
+            )
         )
         levels[h] = _materialize(spark, lvl, h, flush_dir, stats)
         stats.seconds_per_level[h] = time.monotonic() - t0
@@ -215,19 +219,42 @@ def build_tables(
     )
 
 
+def in_memory(df: DataFrame, rows: int) -> DataFrame:
+    """``df`` with a broadcast hint if its ``rows`` fit under BROADCAST_ROWS."""
+    return F.broadcast(df) if rows <= BROADCAST_ROWS else df
+
+
+def union_levels(levels: dict[int, DataFrame], h: int) -> DataFrame:
+    """Levels 1..h-1 as one DataFrame (shapes are size-unique, so ``t``
+    alone says which level a row came from)."""
+    return reduce(DataFrame.unionByName, (levels[j] for j in range(1, h)))
+
+
 def _materialize(
-    spark: SparkSession, df: DataFrame, h: int, flush_dir: str | None, stats: BuildStats
+    spark: SparkSession,
+    df: DataFrame,
+    h: int,
+    flush_dir: str | None,
+    stats: BuildStats,
+    rows: int | None = None,
 ) -> DataFrame:
-    """Greedy flushing (parquet + lazy re-read) or in-memory persist."""
+    """Greedy flushing (parquet + lazy re-read) or in-memory persist; records
+    the level's row count (``rows`` if known, else counted) and bytes.
+
+    Rows are sorted within partitions by ``(t, c, v)`` first: runs of equal
+    shape and color set make the parquet pages compress best (smaller than
+    unsorted, or than ``(v, t, c)`` on star-dominated graphs).
+    """
+    df = df.sortWithinPartitions("t", "c", "v")
     if flush_dir is not None:
         path = os.path.join(flush_dir, f"level_{h:02d}.parquet")
         df.write.mode("overwrite").parquet(path)
-        out = spark.read.parquet(path)
-        stats.rows_per_level[h] = out.count()
+        # The schema is known: passing it skips Spark's footer-reading job.
+        out = spark.read.schema(df.schema).parquet(path)
         stats.bytes_per_level[h] = _dir_bytes(path)
-        return out
-    out = df.persist()
-    stats.rows_per_level[h] = out.count()
+    else:
+        out = df.persist()
+    stats.rows_per_level[h] = out.count() if rows is None else rows
     return out
 
 

@@ -17,11 +17,14 @@ as iterated weighted joins:
    (min of ``-ln(U)/w`` is a weighted draw), a single groupBy.
 3. The winner spawns the two sub-items; leaves resolve to graph nodes.
 
-``k-1`` rounds resolve every sample. Tree edges are recorded so tests
-can verify the unfolded copy is a real, correctly-shaped treelet.
-Classification happens distributed in ``mapInPandas`` with broadcast
-sorted adjacency (the paper's O(log δ) membership query) and the
-memoized canonical form standing in for Nauty.
+``k-1`` rounds resolve every sample. As in the build-up, the count
+tables and the edge list are broadcast to the joins while their row
+totals fit under ``buildup.BROADCAST_ROWS``. Tree edges are recorded, and
+a sample that does not resolve to ``k`` distinct nodes and ``k-1`` tree
+edges raises. Classification happens distributed in ``mapInPandas`` with
+broadcast sorted adjacency (the paper's O(log δ) membership query) and
+the memoized canonical form standing in for Nauty; a sample left without
+a class code raises.
 """
 from __future__ import annotations
 
@@ -30,11 +33,11 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, functions as F
+from pyspark.sql import SparkSession, functions as F
 
 from ..exactcount.esu import induced_code
 from ..graphs.generators import Graph
-from . import graphlet as gl, treelet as tl
+from . import buildup, graphlet as gl, treelet as tl
 from .alias import AliasSampler
 from .buildup import CountTables
 
@@ -48,15 +51,6 @@ class SampleBatch:
     #: per-class hit counts
     hits: dict[int, int]
     n_samples: int
-
-
-def _counts_union(tables: CountTables) -> DataFrame:
-    """All level tables 1..k-1 as one DataFrame (shapes are size-unique)."""
-    dfs = [tables.levels[h] for h in range(1, tables.k)]
-    out = dfs[0]
-    for d in dfs[1:]:
-        out = out.unionByName(d)
-    return out
 
 
 def draw_roots(
@@ -99,8 +93,11 @@ def unfold_treelets(
     """
     k = tables.k
     full_mask = (1 << k) - 1
-    counts = _counts_union(tables)
-    edges = tables.graph.edges_df(spark)
+    counts = buildup.in_memory(
+        buildup.union_levels(tables.levels, k),
+        sum(tables.stats.rows_per_level[h] for h in range(1, k)),
+    )
+    edges = buildup.in_memory(tables.graph.edges_df(spark), 2 * tables.graph.m)
 
     decomp_rows = []
     for h in range(2, k + 1):
@@ -183,17 +180,28 @@ def unfold_treelets(
         )
         pending = left_items.unionByName(right_items).localCheckpoint(eager=True)
 
-    nodes_pdf = pd.concat(node_rows, ignore_index=True)
-    agg_nodes = nodes_pdf.groupby("sid")["v"].apply(lambda s: tuple(sorted(int(x) for x in s)))
-    if edge_rows:
-        edges_pdf = pd.concat(edge_rows, ignore_index=True)
-        edges_pdf["pair"] = list(zip(edges_pdf["v"].astype(int), edges_pdf["u"].astype(int)))
-        agg_edges = edges_pdf.groupby("sid")["pair"].apply(lambda s: tuple(sorted(s)))
-    else:
-        agg_edges = pd.Series(dtype=object)
+    nodes_of: dict[int, list[int]] = {}
+    for pdf in node_rows:
+        for sid, v in zip(pdf["sid"], pdf["v"]):
+            nodes_of.setdefault(int(sid), []).append(int(v))
+    tree_of: dict[int, list[tuple[int, int]]] = {}
+    for pdf in edge_rows:
+        for sid, v, u in zip(pdf["sid"], pdf["v"], pdf["u"]):
+            tree_of.setdefault(int(sid), []).append((int(v), int(u)))
     out = roots[["sid", "t"]].copy()
-    out["nodes"] = out["sid"].map(agg_nodes)
-    out["edges"] = out["sid"].map(agg_edges).fillna("").apply(lambda x: x if x != "" else ())
+    out["nodes"] = [tuple(sorted(nodes_of.get(int(s), ()))) for s in out["sid"]]
+    out["edges"] = [tuple(sorted(tree_of.get(int(s), ()))) for s in out["sid"]]
+    bad = [
+        sid
+        for sid, nodes, tree in zip(out["sid"], out["nodes"], out["edges"])
+        if len(nodes) != k or len(set(nodes)) != k or len(tree) != k - 1
+    ]
+    if bad:
+        raise RuntimeError(
+            f"{len(bad)} of {len(out)} samples did not unfold to {k} distinct nodes "
+            f"and {k - 1} tree edges (sids {bad[:5]}): the count tables do not "
+            "match the graph or the root draws"
+        )
     return out
 
 
@@ -219,7 +227,10 @@ def classify(
             yield pd.DataFrame({"sid": pdf["sid"], "gcode": codes})
 
     res = sdf.mapInPandas(run, schema="sid long, gcode long").toPandas()
-    out = samples.merge(res, on="sid", how="left")
+    out = samples.merge(res, on="sid", how="inner")
+    if len(out) != len(samples):
+        missing = sorted(set(samples["sid"]) - set(res["sid"]))
+        raise RuntimeError(f"classification returned no class code for sids {missing[:5]}")
     return out
 
 

@@ -132,6 +132,38 @@ def test_flushed_equals_inmemory(spark, tmp_path):
     assert disk.stats.total_bytes > 0
 
 
+@pytest.mark.parametrize("flush", [False, True], ids=["in_memory", "flushed"])
+def test_broadcast_and_shuffled_joins_agree(spark, tmp_path, monkeypatch, flush):
+    """With BROADCAST_ROWS at 0 no join side is broadcast, so every join
+    shuffles. That plan must give the broadcast plan's urn row for row,
+    and both must equal brute-force enumeration (0-rooted at level k)."""
+    g = gen.er_graph(12, 24, seed=4)
+    k = 5
+
+    def urn(name):
+        flush_dir = str(tmp_path / name) if flush else None
+        tables = buildup.build_tables(spark, g, k, seed=14, flush_dir=flush_dir)
+        rows = {
+            h: sorted(tuple(r) for r in tables.levels[h].select("v", "t", "c", "cnt").collect())
+            for h in range(1, k + 1)
+        }
+        return tables, rows
+
+    tables, broadcast = urn("broadcast")
+    monkeypatch.setattr(buildup, "BROADCAST_ROWS", 0)
+    _, shuffled = urn("shuffled")
+    assert shuffled == broadcast
+
+    brute = esu.brute_force_rooted_treelet_counts(g.adj, tables.colors, k)
+    expected = {
+        key: c
+        for key, c in brute.items()
+        if c != 0 and (tl.size(key[1]) < k or tables.colors[key[0]] == 0)
+    }
+    got = {(v, t, c): int(cnt) for rows in broadcast.values() for v, t, c, cnt in rows if cnt}
+    assert got == expected
+
+
 def test_expected_colorful_fraction(seed=0):
     """E[c_i] = p_k · g_i (§2.2): averaged over many colorings, the
     colorful fraction of triangle copies approaches k!/k^k."""

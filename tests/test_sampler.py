@@ -6,6 +6,7 @@ distribution (uniformity over the urn) and estimator accuracy against
 exact ESU ground truth. Seeds are fixed; tolerances are generous.
 """
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core import buildup, estimators as est, sampler, spanning as sp, treelet as tl
@@ -142,6 +143,31 @@ def test_classify_matches_induced_subgraph(spark, er_tables):
     for r in classified.itertuples():
         code = gl.canonical(esu.induced_code(g.adj, list(r.nodes)), k)
         assert code == r.gcode
+
+
+def test_unfold_raises_when_a_sample_cannot_resolve(spark):
+    """A root whose treelet does not exist in the graph (vertex 0 lies in a
+    2-node component) cannot unfold to k nodes: the sampler must raise
+    instead of returning a partial node set."""
+    g = gen.Graph("split", np.array([[0, 1], [2, 3], [3, 4], [4, 5]]))
+    tables = buildup.build_tables(spark, g, 4, seed=0, zero_rooting=False)
+    roots = pd.DataFrame({"sid": [0], "v": [0], "t": [tl.path_rooted(4)]})
+    with pytest.raises(RuntimeError, match="did not unfold"):
+        sampler.unfold_treelets(spark, tables, roots, seed=1)
+
+
+def test_classify_raises_on_a_missing_class_code(spark, er_tables, monkeypatch):
+    """A sample the classification job does not return must raise, not come
+    back with a NaN class code."""
+    roots = sampler.draw_roots(er_tables, 20, seed=10)
+    out = sampler.unfold_treelets(spark, er_tables, roots, seed=11)
+    frame = type(spark.range(1))
+    run = frame.mapInPandas
+    monkeypatch.setattr(
+        frame, "mapInPandas", lambda self, *a, **kw: run(self, *a, **kw).where("sid != 0")
+    )
+    with pytest.raises(RuntimeError, match="no class code"):
+        sampler.classify(spark, er_tables.graph, out, er_tables.k)
 
 
 def test_err_metrics():
